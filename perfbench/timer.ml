@@ -1,0 +1,4 @@
+(* Monotonic wall clock in integer nanoseconds. *)
+
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
+let ms_of_ns ns = float_of_int ns /. 1e6
