@@ -1124,6 +1124,38 @@ let a1 () =
         string_of_int !evictions;
         string_of_int (Replay_cache.size bounded) ] ];
 
+  (* Flood at the default capacity: fill with live identifiers, then time
+     2,000 further records, each of which evicts. Eviction is one heap pop,
+     so a record into the full 131072-entry cache costs about what one into
+     a full 1024-entry cache costs; a whole-table scan made it over 128x. *)
+  let extra = 2_000 in
+  let flood_at capacity =
+    let evictions = ref 0 in
+    let c = Replay_cache.create ~capacity ~on_evict:(fun () -> incr evictions) () in
+    let record i =
+      ignore (Replay_cache.record c ~now:0 ~expires:(max_int - i) (string_of_int i))
+    in
+    for i = 1 to capacity do
+      record i
+    done;
+    let t0 = Unix.gettimeofday () in
+    for i = capacity + 1 to capacity + extra do
+      record i
+    done;
+    (capacity, !evictions, Replay_cache.size c, (Unix.gettimeofday () -. t0) *. 1e9 /. float extra)
+  in
+  let ((_, _, _, small_ns) as small) = flood_at 1_024 in
+  let ((big_cap, big_evictions, big_size, big_ns) as big) =
+    flood_at (Replay_cache.capacity (Replay_cache.create ()))
+  in
+  print_table "A1c: record cost in a full cache"
+    [ "capacity"; "inserted"; "evictions"; "final size"; "record CPU" ]
+    (List.map
+       (fun (cap, ev, size, ns) ->
+         [ string_of_int cap; string_of_int (cap + extra); string_of_int ev; string_of_int size;
+           fmt_ns ns ])
+       [ small; big ]);
+
   Benchout.write ~id:"a1" ~title:"ablation: accept-once replay cache"
     (List.map
        (fun (size, probe_ns, caught) ->
@@ -1141,6 +1173,15 @@ let a1 () =
               ("evictions", !evictions);
               ("final_size", Replay_cache.size bounded) ];
           floats = [];
+        };
+        {
+          Benchout.label = Printf.sprintf "flood capacity=%d inserted=%d" big_cap (big_cap + extra);
+          ints =
+            [ ("capacity", big_cap);
+              ("inserted", big_cap + extra);
+              ("evictions", big_evictions);
+              ("final_size", big_size) ];
+          floats = [ ("record_ns_1024", small_ns); ("record_ns_131072", big_ns) ];
         } ])
 
 (* ------------------------------------------------------------------ *)

@@ -8,57 +8,17 @@ type state = {
   s_len : int;
 }
 
-(* Same bounded FIFO + lazy-generation machinery as [Verify_cache], with a
-   structured value per entry instead of a bare membership bit. Kept as a
-   twin rather than a functor: the two caches are small, hot, and easier
-   to audit flat. *)
-type t = {
-  capacity : int;
-  ttl_us : int;
-  on_evict : unit -> unit;
-  on_invalidate : unit -> unit;
-  table : (string, int * int * int * state) Hashtbl.t;
-      (* key -> (recorded_at, seq, generation, state) *)
-  order : (string * int) Queue.t;
-  mutable seq : int;
-  mutable generation : int;
-  mutable live : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-  mutable invalidations : int;
+type t = state Verify_cache.memo
+
+type stats = Verify_cache.stats = {
+  hits : int;
+  misses : int;
+  evictions : int;
+  invalidations : int;
+  size : int;
 }
 
-type stats = { hits : int; misses : int; evictions : int; invalidations : int; size : int }
-
-let default_capacity = 1024
-let default_ttl_us = 3_600_000_000
-let no_evict () = ()
-
-let create ?(capacity = default_capacity) ?(ttl_us = default_ttl_us)
-    ?(on_evict = no_evict) ?(on_invalidate = no_evict) () =
-  if capacity < 0 then invalid_arg "Link_cache.create: capacity must be non-negative";
-  if ttl_us < 1 then invalid_arg "Link_cache.create: ttl must be positive";
-  {
-    capacity;
-    ttl_us;
-    on_evict;
-    on_invalidate;
-    table = Hashtbl.create (min capacity 64);
-    order = Queue.create ();
-    seq = 0;
-    generation = 0;
-    live = 0;
-    hits = 0;
-    misses = 0;
-    evictions = 0;
-    invalidations = 0;
-  }
-
-let frame s =
-  let n = String.length s in
-  String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff)) ^ s
-
+let create () = Verify_cache.create ()
 let root = Crypto.Sha256.digest "link-cache-prefix-v1"
 
 let digests certs =
@@ -68,129 +28,26 @@ let digests certs =
     List.fold_left
       (fun (prev, i) cert ->
         let bytes = Wire.encode (Proxy_cert.pk_cert_to_wire cert) in
-        let d = Crypto.Sha256.digest (prev ^ frame bytes) in
+        let d = Crypto.Sha256.digest (prev ^ Verify_cache.frame bytes) in
         out.(i) <- d;
         (d, i + 1))
       (root, 0) certs
   in
   out
 
-let fresh t ~now inserted_at = inserted_at + t.ttl_us > now
-
-(* Lookup without counting: reaps dead-generation and TTL-expired entries
-   in passing, exactly like [Verify_cache.check]. *)
-let peek t ~now k =
-  match Hashtbl.find_opt t.table k with
-  | Some (_, _, g, _) when g <> t.generation ->
-      Hashtbl.remove t.table k;
-      None
-  | Some (recorded_at, _, _, st) when fresh t ~now recorded_at -> Some st
-  | Some _ ->
-      Hashtbl.remove t.table k;
-      t.live <- t.live - 1;
-      None
-  | None -> None
-
 let find_longest t ~now digests =
-  if t.capacity = 0 then begin
-    t.misses <- t.misses + 1;
-    None
-  end
-  else begin
-    let n = Array.length digests in
-    let rec probe i =
-      if i < 0 then None
-      else
-        match peek t ~now digests.(i) with
-        | Some st when st.s_len = i + 1 -> Some (i + 1, st)
-        | _ -> probe (i - 1)
-    in
-    match probe (n - 1) with
-    | Some _ as hit ->
-        t.hits <- t.hits + 1;
-        hit
-    | None ->
-        t.misses <- t.misses + 1;
-        None
-  end
-
-let evict_one t =
-  let rec pop () =
-    match Queue.take_opt t.order with
-    | None -> ()
-    | Some (k, seq) -> (
-        match Hashtbl.find_opt t.table k with
-        | Some (_, s, g, _) when s = seq && g = t.generation ->
-            Hashtbl.remove t.table k;
-            t.live <- t.live - 1;
-            t.evictions <- t.evictions + 1;
-            t.on_evict ()
-        | Some (_, s, g, _) when s = seq && g <> t.generation ->
-            Hashtbl.remove t.table k;
-            pop ()
-        | _ -> pop ())
+  let rec probe i =
+    if i < 0 then None
+    else
+      match Verify_cache.find t ~now digests.(i) with
+      | Some st when st.s_len = i + 1 -> Some (i + 1, st)
+      | _ -> probe (i - 1)
   in
-  pop ()
+  let found = probe (Array.length digests - 1) in
+  Verify_cache.count_lookup t ~hit:(Option.is_some found);
+  found
 
-let compact t =
-  if Queue.length t.order > 2 * t.capacity then begin
-    let live = Queue.create () in
-    Queue.iter
-      (fun (k, seq) ->
-        match Hashtbl.find_opt t.table k with
-        | Some (_, s, g, _) when s = seq ->
-            if g = t.generation then Queue.push (k, seq) live
-            else Hashtbl.remove t.table k
-        | _ -> ())
-      t.order;
-    Queue.clear t.order;
-    Queue.transfer live t.order
-  end
-
-let record t ~now ~key st =
-  if t.capacity = 0 then ()
-  else begin
-    let refresh =
-      match Hashtbl.find_opt t.table key with
-      | Some (_, _, g, _) when g = t.generation -> true
-      | Some _ ->
-          Hashtbl.remove t.table key;
-          false
-      | None -> false
-    in
-    if (not refresh) && t.live >= t.capacity then evict_one t;
-    t.seq <- t.seq + 1;
-    Hashtbl.replace t.table key (now, t.seq, t.generation, st);
-    Queue.push (key, t.seq) t.order;
-    if not refresh then t.live <- t.live + 1;
-    compact t
-  end
-
-let flush t =
-  Hashtbl.reset t.table;
-  Queue.clear t.order;
-  t.live <- 0
-
-let bump_generation t =
-  let n = t.live in
-  t.generation <- t.generation + 1;
-  t.live <- 0;
-  t.invalidations <- t.invalidations + n;
-  for _ = 1 to n do
-    t.on_invalidate ()
-  done;
-  n
-
-let generation t = t.generation
-
-let stats (t : t) =
-  {
-    hits = t.hits;
-    misses = t.misses;
-    evictions = t.evictions;
-    invalidations = t.invalidations;
-    size = t.live;
-  }
-
-let size t = t.live
-let capacity t = t.capacity
+let record t ~now ~key st = Verify_cache.store t ~now key st
+let bump_generation = Verify_cache.bump_generation
+let stats = Verify_cache.stats
+let size = Verify_cache.size

@@ -22,13 +22,14 @@
     always. Only the RSA signature walk — immutable bytes, deterministic
     outcome — is amortized, the same contract as [Verify_cache].
 
-    Invalidation mirrors [Verify_cache]: entries carry lazy generation
-    tags; {!bump_generation} (fired by [Authz.Guard] when a revocation
-    bulletin extends coverage) is O(1) and retires every cached prefix at
-    once, because a hashed prefix digest cannot be mapped back to the
-    revoked link it embeds. Even a hit that somehow survived would not
-    grant revoked authority — the per-link revocation re-check above
-    refuses it — the bump only forces the RSA walk to be re-paid. *)
+    The cache is [Verify_cache]'s memo with this walk state as its value:
+    the same TTL, capacity bound and counters. {!bump_generation} (fired
+    by [Authz.Guard] when a revocation bulletin extends coverage) retires
+    every cached prefix at once, because a hashed prefix digest cannot be
+    mapped back to the revoked link it embeds. Even a hit that somehow
+    survived would not grant revoked authority — the per-link revocation
+    re-check above refuses it — the bump only forces the RSA walk to be
+    re-paid. *)
 
 type state = {
   s_last : Proxy_cert.pk_cert;  (** resume point: signs/classifies the next link *)
@@ -43,19 +44,19 @@ type state = {
 
 type t
 
-type stats = { hits : int; misses : int; evictions : int; invalidations : int; size : int }
+type stats = Verify_cache.stats = {
+  hits : int;
+  misses : int;
+  evictions : int;
+  invalidations : int;
+  size : int;
+}
 
-val create :
-  ?capacity:int ->
-  ?ttl_us:int ->
-  ?on_evict:(unit -> unit) ->
-  ?on_invalidate:(unit -> unit) ->
-  unit ->
-  t
-(** Defaults: capacity 1024 prefixes, TTL one simulated hour (the same
-    freshness backstop as [Verify_cache] — the operative revocation path
-    is {!bump_generation}). Capacity 0 disables the cache: every probe
-    misses, nothing is recorded. *)
+val create : unit -> t
+(** Capacity 1024 prefixes, TTL one simulated hour (the same freshness
+    backstop as [Verify_cache] — the operative revocation path is
+    {!bump_generation}). A guard without a link cache is configured with
+    none, not with a disabled one. *)
 
 val digests : Proxy_cert.pk_cert list -> string array
 (** Rolling prefix digests: element [i] covers certificates [0..i]
@@ -65,21 +66,17 @@ val digests : Proxy_cert.pk_cert list -> string array
 
 val find_longest : t -> now:int -> string array -> (int * state) option
 (** Probe the digests longest-first and return [(len, state)] for the
-    longest cached, fresh, current-generation prefix. Counts exactly one
-    hit or one miss per call (not per probe). *)
+    longest cached, fresh prefix. Counts exactly one hit or one miss per
+    call (not per probe). *)
 
 val record : t -> now:int -> key:string -> state -> unit
 (** Remember a verified prefix under its digest. Only call after every
     certificate of the prefix passed signature, window and revocation
     checks. Re-recording refreshes TTL and eviction rank. *)
 
-val flush : t -> unit
 val bump_generation : t -> int
-(** O(1) lazy retirement of every current entry; returns the number
-    retired and charges them to [stats.invalidations] exactly (see
-    [Verify_cache.bump_generation]). *)
+(** Retire every entry; returns the number retired and charges them to
+    [stats.invalidations] (see [Verify_cache.bump_generation]). *)
 
-val generation : t -> int
 val stats : t -> stats
 val size : t -> int
-val capacity : t -> int

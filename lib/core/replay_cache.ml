@@ -1,68 +1,27 @@
 type t = {
-  entries : (string, int * int * string option) Hashtbl.t;
-      (* identifier -> (expiry, insertion seq, tag) *)
+  table : string option Expiry_table.t; (* identifier -> tag *)
   capacity : int;
   on_evict : unit -> unit;
-  mutable next_seq : int;
-      (* monotonic insertion counter — the eviction tie-break. Hashtbl fold
-         order depends on resize history, so two caches holding the same
-         entries can disagree about which of several equal-expiry entries
-         "comes first"; the seq makes the soonest-expiry pick total. *)
 }
 
 let default_capacity = 1 lsl 17
-let no_evict () = ()
 
-let create ?(capacity = default_capacity) ?(on_evict = no_evict) () =
+let create ?(capacity = default_capacity) ?(on_evict = ignore) () =
   if capacity < 1 then invalid_arg "Replay_cache.create: capacity must be positive";
-  { entries = Hashtbl.create 64; capacity; on_evict; next_seq = 0 }
+  { table = Expiry_table.create (); capacity; on_evict }
 
-let seen t ~now id =
-  match Hashtbl.find_opt t.entries id with
-  | None -> false
-  | Some (expires, _, _) ->
-      if expires > now then true
-      else begin
-        Hashtbl.remove t.entries id;
-        false
-      end
-
-let purge t ~now =
-  let stale =
-    Hashtbl.fold
-      (fun id (expires, _, _) acc -> if expires <= now then id :: acc else acc)
-      t.entries []
-  in
-  List.iter (Hashtbl.remove t.entries) stale
+let seen t ~now id = Option.is_some (Expiry_table.find_live t.table ~now id)
+let purge t ~now = Expiry_table.purge t.table ~now
 
 (* Capacity pressure: purge the dead first; if the cache is genuinely full
    of live identifiers, drop the one closest to its natural expiry — it is
    the one whose replay window closes soonest, so forgetting it early
-   reopens the smallest window. Expiry ties break by insertion seq (oldest
-   first), never by hash iteration order. *)
-let evict_soonest t =
-  match
-    Hashtbl.fold
-      (fun id (expires, seq, _) best ->
-        match best with
-        | Some (_, e, s) when (e, s) <= (expires, seq) -> best
-        | _ -> Some (id, expires, seq))
-      t.entries None
-  with
-  | None -> ()
-  | Some (id, _, _) ->
-      Hashtbl.remove t.entries id;
-      t.on_evict ()
-
+   reopens the smallest window. Expiry ties break by insertion order. *)
 let record t ~now ~expires ?tag id =
   if seen t ~now id then Error (Printf.sprintf "accept-once identifier %S already recorded" id)
   else begin
-    if Hashtbl.length t.entries >= t.capacity then begin
-      purge t ~now;
-      if Hashtbl.length t.entries >= t.capacity then evict_soonest t
-    end;
-    Hashtbl.replace t.entries id (expires, t.next_seq, tag);
-    t.next_seq <- t.next_seq + 1;
+    Expiry_table.make_room t.table ~capacity:t.capacity ~now ~on_evict:t.on_evict;
+    Expiry_table.add t.table id ~expiry:expires tag;
     Ok ()
   end
 
@@ -71,16 +30,11 @@ let record t ~now ~expires ?tag id =
    the credential that carried it can no longer verify, so keeping the
    record only burns capacity and, worse, collides with a legitimately
    re-issued credential that reuses the identifier (a re-drawn check
-   number). One O(size) fold per freshly revoked tag; bounded by the
+   number). One O(size) walk per freshly revoked tag; bounded by the
    capacity and far rarer than record/seen traffic. *)
 let shed t ~tag =
-  let doomed =
-    Hashtbl.fold
-      (fun id (_, _, tg) acc -> if tg = Some tag then id :: acc else acc)
-      t.entries []
-  in
-  List.iter (Hashtbl.remove t.entries) doomed;
-  List.length doomed
+  let tag = Some tag in
+  Expiry_table.filter t.table (fun tg -> tg <> tag)
 
-let size t = Hashtbl.length t.entries
+let size t = Expiry_table.length t.table
 let capacity t = t.capacity

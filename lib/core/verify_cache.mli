@@ -32,12 +32,17 @@
     the verifier re-checks time windows, restrictions, {e and} revocation
     on every presentation; the cache only memoizes the RSA operation.)
 
-    The cache is FIFO-bounded; hit/miss/eviction/invalidation totals are
-    kept here and callers (e.g. [Authz.Guard]) mirror them into
-    [Sim.Metrics]. *)
+    The cache is bounded: at capacity, recording a new key evicts the
+    least recently recorded entry. Hit/miss/eviction/invalidation totals
+    are kept here and callers (e.g. [Authz.Guard]) mirror them into
+    [Sim.Metrics]. {!Link_cache} is the same cache with a structured
+    value per key: both instantiate ['a memo] over one {!Expiry_table}. *)
 
-type t
+type 'a memo
+(** A TTL memo cache from string keys to ['a]; this module's own entries
+    carry no value ([t]). *)
 
+type t = unit memo
 type stats = { hits : int; misses : int; evictions : int; invalidations : int; size : int }
 
 val create :
@@ -46,7 +51,7 @@ val create :
   ?on_evict:(unit -> unit) ->
   ?on_invalidate:(unit -> unit) ->
   unit ->
-  t
+  'a memo
 (** Defaults: capacity 1024 entries, TTL one simulated hour. [on_evict]
     fires once per capacity eviction (not on TTL expiry); [on_invalidate]
     fires once per entry dropped by {!invalidate} or {!bump_generation}. A
@@ -54,11 +59,16 @@ val create :
     and {!record} is a no-op — differential tests use it to run identical
     guard wiring with caching off. *)
 
+val frame : string -> string
+(** Length framing: a 4-byte big-endian length, then the bytes. Framed
+    concatenations are unambiguous, so ("ab","c") and ("a","bc") cannot
+    key the same entry. *)
+
 val key : signed_bytes:string -> signature:string -> signer:string -> string
 (** Cache key for a verification: SHA-256 over the length-framed signed
     bytes, signature, and serialized verifying key. *)
 
-val check : t -> now:int -> string -> bool
+val check : _ memo -> now:int -> string -> bool
 (** [check t ~now key] is [true] when this verification succeeded before
     and the entry is still within its TTL. Counts a hit or a miss; expired
     entries are dropped and count as misses. *)
@@ -70,34 +80,38 @@ val record : t -> now:int -> string -> unit
     being re-verified survives capacity churn instead of being first out
     of the door. Only call on success. *)
 
-val flush : t -> unit
+val find : 'a memo -> now:int -> string -> 'a option
+(** The value under a key within its TTL, counting nothing; an expired
+    entry is dropped. *)
+
+val count_lookup : _ memo -> hit:bool -> unit
+(** Count one hit or one miss (for callers that probe with {!find}). *)
+
+val store : 'a memo -> now:int -> string -> 'a -> unit
+(** {!record} with a value. *)
+
+val flush : _ memo -> unit
 (** Drop all entries (counters are kept). *)
 
-val invalidate : t -> string -> unit
+val invalidate : _ memo -> string -> unit
 (** Drop one entry by cache key, counting an invalidation if it was
     present. Used when the caller can name the exact verification to
     distrust (the keys are hashes, so this requires re-deriving the key
     from the certificate bytes). *)
 
-val bump_generation : t -> int
-(** Retire the {e whole} current generation: every entry is dropped and
-    counted as an invalidation, and the generation counter advances.
-    Returns the number of entries retired. This is the revocation-storm
-    path: cache keys are one-way hashes, so a revoked link cannot be
-    mapped back to the dependent entries — the bulletin holder retires
-    everything and lets honest traffic repopulate the cache.
+val bump_generation : _ memo -> int
+(** Retire {e every} entry: each is dropped and counted as an
+    invalidation, and the generation counter advances. Returns the number
+    of entries retired. This is the revocation-storm path: cache keys are
+    one-way hashes, so a revoked link cannot be mapped back to the
+    dependent entries — the bulletin holder retires everything and lets
+    honest traffic repopulate the cache. The table is cleared in O(1);
+    [on_invalidate] fires once per entry retired, so a storm of
+    consecutive bumps costs O(entries live at the first bump). *)
 
-    The retirement is lazy: entries carry generation tags and the bump
-    itself is O(1) apart from firing [on_invalidate] once per entry
-    retired ([stats.invalidations] stays exact — the maintained live
-    count is charged at bump time). Dead-generation entries are reaped
-    as later lookups, evictions and compactions encounter them, so a
-    storm of consecutive bumps costs O(entries live at the first bump),
-    not O(bumps x table size). *)
-
-val generation : t -> int
+val generation : _ memo -> int
 (** Starts at 0; incremented by every {!bump_generation}. *)
 
-val stats : t -> stats
-val size : t -> int
-val capacity : t -> int
+val stats : _ memo -> stats
+val size : _ memo -> int
+val capacity : _ memo -> int

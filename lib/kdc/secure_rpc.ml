@@ -15,7 +15,9 @@ let err msg = Wire.encode (Wire.L [ Wire.S "err"; Wire.S msg ])
    exactly what a retrying legitimate client needs. Capacity-bounded:
    when full, expired entries are purged; if every entry is still live,
    the soonest-to-expire response is dropped (its retransmission window
-   closes first) and "rpc.cache_evictions" ticks.
+   closes first; equal expiries go oldest insertion first, so a primary
+   and its replication-seeded standby evict alike) and
+   "rpc.cache_evictions" ticks.
 
    The cache is a first-class value so a standby replica can hold one and
    have it seeded by replication: a client that fails over after the
@@ -23,61 +25,28 @@ let err msg = Wire.encode (Wire.L [ Wire.S "err"; Wire.S msg ])
    original sealed reply from the standby instead of a second execution. *)
 type cache = {
   capacity : int;
-  seen_auths : (string, int * int * string) Hashtbl.t;
-      (* digest -> (expiry, insertion seq, sealed reply) *)
-  mutable next_seq : int;
-      (* monotonic insertion counter — the eviction tie-break. Hashtbl fold
-         order depends on resize history, so two replicas holding the same
-         entries (primary vs replication-seeded standby) could otherwise
-         evict different equal-expiry responses and diverge. *)
+  table : string Expiry_table.t; (* authenticator digest -> sealed reply *)
 }
 
 let create_cache ?(capacity = 4096) () =
   if capacity < 1 then invalid_arg "Secure_rpc.create_cache: capacity must be positive";
-  { capacity; seen_auths = Hashtbl.create 64; next_seq = 0 }
+  { capacity; table = Expiry_table.create () }
 
 let cache_insert ?metrics cache ~now auth_id ~expires ~reply =
-  let { capacity; seen_auths; _ } = cache in
-  if Hashtbl.length seen_auths >= capacity then begin
-    let stale =
-      Hashtbl.fold
-        (fun k (expiry, _, _) acc -> if expiry <= now then k :: acc else acc)
-        seen_auths []
-    in
-    List.iter (Hashtbl.remove seen_auths) stale;
-    if Hashtbl.length seen_auths >= capacity then begin
-      match
-        Hashtbl.fold
-          (fun k (expiry, seq, _) best ->
-            match best with
-            | Some (_, e, s) when (e, s) <= (expiry, seq) -> best
-            | _ -> Some (k, expiry, seq))
-          seen_auths None
-      with
-      | None -> ()
-      | Some (k, _, _) ->
-          Hashtbl.remove seen_auths k;
-          (match metrics with
-          | Some m -> Sim.Metrics.incr m "rpc.cache_evictions"
-          | None -> ())
-    end
-  end;
-  Hashtbl.replace seen_auths auth_id (expires, cache.next_seq, reply);
-  cache.next_seq <- cache.next_seq + 1
+  Expiry_table.make_room cache.table ~capacity:cache.capacity ~now ~on_evict:(fun () ->
+      Option.iter (fun m -> Sim.Metrics.incr m "rpc.cache_evictions") metrics);
+  Expiry_table.add cache.table auth_id ~expiry:expires reply
 
 let seed_response cache ~now ~auth_id ~expires ~reply =
   cache_insert cache ~now auth_id ~expires ~reply
 
-let cached cache ~auth_id = Hashtbl.mem cache.seen_auths auth_id
+let cached cache ~auth_id = Expiry_table.mem cache.table auth_id
 
-let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000)
-    ?(response_cache_capacity = 4096) ?cache ?on_handled handler =
+let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000) ?cache ?on_handled
+    handler =
   let metrics = Sim.Net.metrics net in
   let node = Option.value node ~default:(Principal.to_string me) in
-  let cache =
-    match cache with Some c -> c | None -> create_cache ~capacity:response_cache_capacity ()
-  in
-  let seen_auths = cache.seen_auths in
+  let cache = match cache with Some c -> c | None -> create_cache () in
   let handle request =
     let now = Sim.Net.now net in
     let open Wire in
@@ -124,8 +93,8 @@ let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000)
                     err "authenticator outside freshness window"
                   else begin
                     let auth_id = Crypto.Sha256.digest auth_blob in
-                    match Hashtbl.find_opt seen_auths auth_id with
-                    | Some (_, _, cached_reply) ->
+                    match Expiry_table.find cache.table auth_id with
+                    | Some cached_reply ->
                         Sim.Metrics.incr metrics "rpc.dedup";
                         cached_reply
                     | None ->

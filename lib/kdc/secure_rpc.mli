@@ -38,7 +38,6 @@ val serve :
   my_key:string ->
   ?node:string ->
   ?max_skew_us:int ->
-  ?response_cache_capacity:int ->
   ?cache:cache ->
   ?on_handled:(auth_id:string -> expires:int -> reply:string -> unit) ->
   (server_context -> Wire.t -> (Wire.t, string) result) ->
@@ -58,10 +57,10 @@ val serve :
     honoured by either replica.
 
     [cache] supplies an externally owned response cache (a standby's,
-    seeded by replication); otherwise an internal one holding at most
-    [response_cache_capacity] entries (default 4096) is used. At capacity,
-    expired entries are purged; if all are live, the soonest-to-expire one
-    is evicted and the net's ["rpc.cache_evictions"] metric ticks.
+    seeded by replication); otherwise a fresh {!create_cache} is used. At
+    capacity, expired entries are purged; if all are live, the
+    soonest-to-expire one is evicted and the net's ["rpc.cache_evictions"]
+    metric ticks.
 
     [on_handled] fires after each request the handler {e actually ran}
     (cache hits excluded) with the authenticator digest, the cache expiry,

@@ -82,7 +82,9 @@ let test_secure_rpc_cache_eviction () =
   let hits = ref 0 in
   (* A deliberately tiny response cache: the third distinct request must
      evict the first (soonest-to-expire) entry and tick the metric. *)
-  Secure_rpc.serve w.W.net ~me:svc ~my_key:svc_key ~response_cache_capacity:2 (fun _ _ ->
+  Secure_rpc.serve w.W.net ~me:svc ~my_key:svc_key
+    ~cache:(Secure_rpc.create_cache ~capacity:2 ())
+    (fun _ _ ->
       incr hits;
       Ok (Wire.I !hits));
   let tgt = W.login w alice in

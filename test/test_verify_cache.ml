@@ -184,7 +184,7 @@ let test_replay_cache_bound () =
   Alcotest.(check int) "no eviction when purge suffices" before !evictions;
   Alcotest.(check bool) "live entry kept" true (Replay_cache.seen rc2 ~now:500 "live")
 
-(* --- Lazy generation retirement (amortized bump_generation) --- *)
+(* --- Generation retirement (bump_generation clears the table, counts exact) --- *)
 
 let test_bump_generation_lazy_amortized () =
   let invalidated = ref 0 in
